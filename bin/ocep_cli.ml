@@ -527,13 +527,13 @@ let replay_cmd =
   in
   let fault_seed =
     Arg.(
-      value & opt int 7
+      value & opt int Session.default.Session.fault_seed
       & info [ "seed"; "s" ] ~docv:"SEED" ~doc:"PRNG seed for $(b,--faults).")
   in
   let gap_policy =
     Arg.(
       value
-      & opt gap_policy_conv Admission.Wait
+      & opt gap_policy_conv Session.default.Session.gap_policy
       & info [ "gap-policy" ] ~docv:"POLICY"
           ~doc:
             "What to do about a missing record id: $(b,wait) (buffer until end of stream), \
@@ -542,19 +542,21 @@ let replay_cmd =
   in
   let reorder_window =
     Arg.(
-      value & opt int Admission.default_config.Admission.reorder_window
+      value & opt int Session.default.Session.reorder_window
       & info [ "reorder-window" ] ~docv:"N"
           ~doc:"Max out-of-order frames held by admission before a gap is declared.")
   in
   let queue_capacity =
     Arg.(
-      value & opt int Source.default_config.Source.queue_capacity
+      value & opt int Session.default.Session.queue_capacity
       & info [ "queue-capacity" ] ~docv:"N" ~doc:"Ingest queue bound (with --pipeline).")
   in
   let queue_policy =
     Arg.(
       value
-      & opt (enum [ ("block", Bqueue.Block); ("shed", Bqueue.Shed) ]) Bqueue.Block
+      & opt
+          (enum [ ("block", Bqueue.Block); ("shed", Bqueue.Shed) ])
+          Session.default.Session.queue_policy
       & info [ "queue-policy" ] ~docv:"POLICY"
           ~doc:"Backpressure on a full ingest queue: $(b,block) the reader or $(b,shed) frames.")
   in
@@ -566,7 +568,7 @@ let replay_cmd =
   in
   let block_size =
     Arg.(
-      value & opt int Source.default_config.Source.block_size
+      value & opt int Session.default.Session.block_size
       & info [ "block" ] ~docv:"N"
           ~doc:
             "Decode and admit frames in blocks of $(docv), amortizing per-record costs \
@@ -1213,7 +1215,8 @@ let fuzz_cmd =
       ~doc:
         "Differential fuzzing: random (pattern, workload, fault schedule) cases — every \
          third one a template-instantiated multi-pattern registry — checked against the \
-         parallel engine, the arena/record differential, dedicated per-pattern engines \
+         parallel engine, the arena columns vs POET's boxed events, dedicated per-pattern \
+         engines \
          (vs the shared dispatch automaton), the brute-force oracle and record/replay; \
          diverging cases are minimized and written to the corpus."
   in

@@ -200,28 +200,60 @@ let check ?mutation case =
             Printf.sprintf "sequential digest %s <> 4-worker digest %s" digest_seq digest_par;
         }
   in
-  (* oracle A': the flat-arena subscription (the default) and the boxed
-     record path must be observably identical — same dispatch decisions,
-     same searches, same reports. This is the contract that lets the
-     arena fast path replace the record path at all. *)
+  (* oracle A': the engine dispatches on arena columns and boxes an
+     event only through [Poet.materialize]. For every event, the columns
+     it reads (trace, index, esym, xsym, comm tag, the per-trace tsym
+     table) and the view materialized at dispatch time must equal the
+     boxed record POET builds on its own for [Poet.subscribe] clients.
+     The flat callback runs first, as the engine's does; the boxed one
+     checks what it left behind. *)
   let divergence =
     match divergence with
     | Some _ -> divergence
     | None ->
-      let rec_cfg = { seq_cfg with Engine.arena = not seq_cfg.Engine.arena } in
-      let _, engine_r, _ =
-        build_registry ~config:rec_cfg ~traces:case.c_traces nets case.c_events
-      in
-      let digest_rec = Runner.reports_digest engine_r in
-      if digest_rec = digest_seq then None
-      else
-        Some
-          {
-            d_oracle = "arena-record";
-            d_detail =
-              Printf.sprintf "arena=%b digest %s <> arena=%b digest %s"
-                seq_cfg.Engine.arena digest_seq rec_cfg.Engine.arena digest_rec;
-          }
+      let poet_m = Poet.create ~trace_names:case.c_traces () in
+      let engine_m = Engine.create ~config:seq_cfg ~poet:poet_m () in
+      List.iter (fun (_, net) -> ignore (Engine.add_pattern engine_m net)) nets;
+      let ar = Poet.arena poet_m in
+      let tsyms = Array.map (Symbol.intern (Poet.symbols poet_m)) (Poet.trace_names poet_m) in
+      let at_dispatch = ref (-1, Event.none, false) in
+      let first = ref None in
+      Poet.subscribe_flat poet_m (fun eid ->
+          let trace = Arena.unsafe_trace ar eid in
+          let columns =
+            {
+              (Poet.materialize poet_m eid) with
+              Event.trace;
+              index = Arena.unsafe_index ar eid;
+              tsym = tsyms.(trace);
+              esym = Arena.unsafe_esym ar eid;
+              xsym = Arena.unsafe_xsym ar eid;
+            }
+          in
+          at_dispatch :=
+            (eid, columns, Arena.is_comm_tag (Arena.unsafe_kind_tag ar eid)));
+      Poet.subscribe poet_m (fun (boxed : Event.t) ->
+          let eid, (m : Event.t), comm = !at_dispatch in
+          let same =
+            m.Event.trace = boxed.Event.trace
+            && m.Event.index = boxed.Event.index
+            && m.Event.tsym = boxed.Event.tsym
+            && m.Event.esym = boxed.Event.esym
+            && m.Event.xsym = boxed.Event.xsym
+            && comm = Event.is_comm boxed
+            && m.Event.kind = boxed.Event.kind
+            && m.Event.trace_name = boxed.Event.trace_name
+            && m.Event.etype = boxed.Event.etype
+            && m.Event.text = boxed.Event.text
+            && Vclock.equal m.Event.vc boxed.Event.vc
+          in
+          if (not same) && !first = None then
+            first :=
+              Some
+                (Format.asprintf "eid %d: dispatched as %a %a (comm %b), boxed as %a %a" eid
+                   Event.pp m Vclock.pp m.Event.vc comm Event.pp boxed Vclock.pp boxed.Event.vc));
+      List.iter (fun r -> Engine.feed_raw_flat engine_m r) case.c_events;
+      Option.map (fun d_detail -> { d_oracle = "materialize-boxed"; d_detail }) !first
   in
   (* oracle D: automaton vs dedicated dispatch — the registry compiles
      every pattern into one shared discrimination network, and each

@@ -3,15 +3,18 @@
     A fuzz {e case} is a pure function of its seed: a random pattern
     (via {!Ocep_pattern.Gen}), a random valid linearization of message
     exchanges over 2–4 traces, and a restorable fault schedule for the
-    transport. {!check} runs the case through three independent oracles,
+    transport. {!check} runs the case through independent oracles,
     any of which failing is an engine bug:
 
     - {b engine-parallel}: the sequential engine and a 4-worker engine
       forced onto the search pool must produce bit-identical match
       reports ({!Runner.reports_digest}).
-    - {b arena-record}: the flat-arena subscription and the boxed
-      record path must produce bit-identical reports — the contract
-      that lets the arena fast path stand in for the record path.
+    - {b materialize-boxed}: for every event, the arena columns the
+      engine dispatches on (trace, index, esym, xsym, comm tag, the
+      per-trace tsym) and the view {!Ocep_poet.Poet.materialize} builds
+      at dispatch time must equal the boxed [Event.t] POET hands its
+      {!Ocep_poet.Poet.subscribe} clients — the contract that lets the
+      engine dispatch on eids and box events only on demand.
     - {b oracle-soundness} / {b oracle-coverage}: against the
       brute-force {!Ocep_baselines.Oracle} — every retained report is a
       real match, and the representative subset covers exactly the
@@ -55,8 +58,8 @@ val mutation_of_name : string -> mutation option
 
 type divergence = {
   d_oracle : string;
-      (** [engine-parallel], [arena-record], [oracle-soundness],
-          [oracle-coverage] or [record-replay] *)
+      (** [engine-parallel], [materialize-boxed], [automaton-dedicated],
+          [oracle-soundness], [oracle-coverage] or [record-replay] *)
   d_detail : string;
 }
 

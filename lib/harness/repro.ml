@@ -549,8 +549,8 @@ let ablation_parallel ppf ~scale =
     (!found, Clock.now_s () -. t0)
   in
   let run_par workers =
-    let pool = Ocep.Pool.create ~workers in
-    let finally () = Ocep.Pool.shutdown pool in
+    let pool = Ocep.Search_pool.create ~workers () in
+    let finally () = Ocep.Search_pool.shutdown pool in
     Fun.protect ~finally (fun () ->
         let found = ref 0 in
         let t0 = Clock.now_s () in
@@ -621,8 +621,8 @@ let ablation_parallel ppf ~scale =
     (o, Clock.now_s () -. t0)
   in
   let par_search workers =
-    let pool = Ocep.Pool.create ~workers in
-    let finally () = Ocep.Pool.shutdown pool in
+    let pool = Ocep.Search_pool.create ~workers () in
+    let finally () = Ocep.Search_pool.shutdown pool in
     Fun.protect ~finally (fun () ->
         let t0 = Clock.now_s () in
         let o =

@@ -66,7 +66,7 @@ val ablation_gc : Format.formatter -> scale:scale -> unit
 
 val ablation_parallel : Format.formatter -> scale:scale -> unit
 (** A4 (the paper's third future-work item): the traces of the first
-    backtracking level searched in parallel by a domain pool vs
+    backtracking level searched in parallel on a {!Ocep.Search_pool} vs
     sequentially — wall time over the deadlock case's anchored searches. *)
 
 val all : Format.formatter -> scale:scale -> unit

@@ -15,23 +15,19 @@ let default =
   {
     gap_policy = Admission.default_config.Admission.gap_policy;
     reorder_window = Admission.default_config.Admission.reorder_window;
-    pipeline = Source.default_config.Source.pipeline;
-    queue_capacity = Source.default_config.Source.queue_capacity;
-    queue_policy = Source.default_config.Source.queue_policy;
-    block_size = Source.default_config.Source.block_size;
+    pipeline = false;
+    queue_capacity = 4096;
+    queue_policy = Bqueue.Block;
+    block_size = 1;
     faults = Inject.no_faults;
     fault_seed = 7;
   }
 
-let source_config c =
-  {
-    Source.admission =
-      { Admission.reorder_window = c.reorder_window; gap_policy = c.gap_policy };
-    queue_capacity = c.queue_capacity;
-    queue_policy = c.queue_policy;
-    pipeline = c.pipeline;
-    block_size = c.block_size;
-  }
+let replay_stream c ?tick ~engine reader =
+  Source.replay_stream
+    ~admission:{ Admission.reorder_window = c.reorder_window; gap_policy = c.gap_policy }
+    ~pipeline:c.pipeline ~queue_capacity:c.queue_capacity ~queue_policy:c.queue_policy
+    ~block_size:c.block_size ?tick ~engine reader
 
 (* Degrading a transport needs the whole frame sequence; re-framing it
    into a temp file keeps the actual replay on the identical
@@ -57,8 +53,7 @@ let degraded_copy ~faults ~seed reader =
   (tmp, List.length before, List.length after)
 
 let replay ?(config = default) ?tick ?log ~engine reader =
-  if config.faults = Inject.no_faults then
-    Source.replay_stream ~config:(source_config config) ?tick ~engine reader
+  if config.faults = Inject.no_faults then replay_stream config ?tick ~engine reader
   else begin
     let tmp, before, after =
       degraded_copy ~faults:config.faults ~seed:config.fault_seed reader
@@ -75,7 +70,5 @@ let replay ?(config = default) ?tick ?log ~engine reader =
         let ic = open_in_bin tmp in
         Fun.protect
           ~finally:(fun () -> close_in ic)
-          (fun () ->
-            Source.replay_stream ~config:(source_config config) ?tick ~engine
-              (Framing.create_reader ic)))
+          (fun () -> replay_stream config ?tick ~engine (Framing.create_reader ic)))
   end

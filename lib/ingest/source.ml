@@ -4,18 +4,6 @@ module Poet = Ocep_poet.Poet
 module Metrics = Ocep_obs.Metrics
 module Watermark = Ocep_obs.Watermark
 
-type config = {
-  admission : Admission.config;
-  queue_capacity : int;
-  queue_policy : Bqueue.policy;
-  pipeline : bool;
-  block_size : int;
-}
-
-let default_config =
-  { admission = Admission.default_config; queue_capacity = 4096; queue_policy = Bqueue.Block;
-    pipeline = false; block_size = 1 }
-
 type stats = {
   frames : int;
   crc_errors : int;
@@ -78,7 +66,7 @@ let check_traces engine reader =
   let got = Framing.reader_trace_names reader in
   if got <> expect then
     invalid_arg
-      (Printf.sprintf "Source.replay: stream traces [%s] do not match the engine's [%s]"
+      (Printf.sprintf "Source.replay_stream: stream traces [%s] do not match the engine's [%s]"
          (String.concat "; " (Array.to_list got))
          (String.concat "; " (Array.to_list expect)))
 
@@ -94,17 +82,58 @@ let tick_every = 1024
    matches an event in ~1.5 us. *)
 let sample_mask = 63
 
-let replay_stream ?(config = default_config) ?(tick = fun () -> ()) ~engine reader =
+(* The frame reader's state: the framed stream and the damage tallied
+   while reading it. *)
+type reader_state = {
+  reader : Framing.reader;
+  mutable crc_errors : int;
+  mutable bad_frames : int;
+  mutable truncated : bool;
+  mutable finished : bool;  (* Eof or Truncated seen *)
+}
+
+let reader_state reader =
+  { reader; crc_errors = 0; bad_frames = 0; truncated = false; finished = false }
+
+(* filler for block buffers; never admitted *)
+let no_frame =
+  { Wire.id = -1; trace = 0; seq = 0; etype = ""; text = ""; kind = Event.Internal }
+
+(* Decode frames into [buf] until it is full or the stream ends; return
+   how many were stored. Damaged frames are tallied and skipped. With
+   [timed], the first frame's decode time goes to [decode_us.(0)] (a
+   float array, so the store does not box). *)
+let read_block r ~timed ~decode_us buf =
+  let n = ref 0 in
+  let cap = Array.length buf in
+  while !n < cap && not r.finished do
+    let clock = timed && !n = 0 in
+    let t0 = if clock then Clock.now_us () else 0. in
+    match Framing.next r.reader with
+    | Framing.Frame w ->
+      if clock then Array.unsafe_set decode_us 0 (Clock.now_us () -. t0);
+      Array.unsafe_set buf !n w;
+      incr n
+    | Framing.Crc_error -> r.crc_errors <- r.crc_errors + 1
+    | Framing.Bad_frame _ -> r.bad_frames <- r.bad_frames + 1
+    | Framing.Truncated ->
+      r.truncated <- true;
+      r.finished <- true
+    | Framing.Eof -> r.finished <- true
+  done;
+  !n
+
+let replay_stream ~admission ~pipeline ~queue_capacity ~queue_policy ~block_size
+    ?(tick = fun () -> ()) ~engine reader =
   check_traces engine reader;
   let mt = meters engine in
   let wm = Watermark.create (Engine.metrics engine) in
-  let crc_errors = ref 0 and bad_frames = ref 0 and truncated = ref false in
   (* true while the frame being pushed carries fresh stamps; consulted
      by [emit], which runs synchronously inside the push *)
   let sampling = ref true in
   let last_us = ref (Clock.now_us ()) in
   let adm =
-    Admission.create ~config:config.admission
+    Admission.create ~config:admission
       ~on_depth:(fun d ->
         Ocep_stats.Histogram.record mt.g_depth (float_of_int d);
         Watermark.set_depth wm d)
@@ -129,224 +158,94 @@ let replay_stream ?(config = default_config) ?(tick = fun () -> ()) ~engine read
       ()
   in
   let seen = ref 0 in
-  let beat () =
-    incr seen;
-    if !seen mod tick_every = 0 then begin
-      (* publish point: bring the watermark gauges up to the exact
-         trackers before the tick callback republishes telemetry *)
-      Watermark.sync wm;
-      tick ()
-    end
-  in
-  let block = max 1 config.block_size in
-  let queue_shed, queue_max =
-    if not config.pipeline then begin
-      if block = 1 then begin
-        let continue = ref true in
-        while !continue do
-          let sampled = !seen land sample_mask = 0 in
-          sampling := sampled;
-          let t0 = if sampled then Clock.now_us () else 0. in
-          match Framing.next reader with
-          | Framing.Frame w ->
-            if sampled then begin
-              let done_us = Clock.now_us () in
-              Watermark.observe_decode wm ~id:w.Wire.id ~dur_us:(done_us -. t0);
-              last_us := done_us;
-              Admission.push ~at_us:done_us adm w
-            end
-            else begin
-              Watermark.advance_decode wm ~id:w.Wire.id;
-              Admission.push ~at_us:!last_us adm w
-            end;
-            beat ()
-          | Framing.Crc_error -> incr crc_errors
-          | Framing.Bad_frame _ -> incr bad_frames
-          | Framing.Truncated ->
-            truncated := true;
-            continue := false
-          | Framing.Eof -> continue := false
-        done;
-        (0, 0)
+  (* [stamps.(0)]: decode time of the block's first frame; [stamps.(1)]:
+     when the reader domain queued the block (pipelined mode only) *)
+  let stamps = [| 0.; 0. |] in
+  (* The one admit path: push a block's frames in order. Full clock
+     stamps land on the block's first frame when it falls on the sample
+     cadence; the rest reuse the latest stamp and advance the watermark
+     trackers only. *)
+  let admit_block ~queued buf n =
+    for i = 0 to n - 1 do
+      let w = Array.unsafe_get buf i in
+      let sampled = i = 0 && !seen land sample_mask = 0 in
+      sampling := sampled;
+      if sampled then begin
+        let now = Clock.now_us () in
+        Watermark.observe_decode wm ~id:w.Wire.id ~dur_us:(Array.unsafe_get stamps 0);
+        if queued then Watermark.observe_queue wm ~dur_us:(now -. Array.unsafe_get stamps 1);
+        last_us := now;
+        Admission.push ~at_us:now adm w
       end
       else begin
-        (* block mode: decode up to [block] frames, then admit them in a
-           burst. Admission order, verdicts, watermarks and lag are
-           exactly the per-record path's; full clock stamps land on at
-           most one frame per block (the block's first, when it falls on
-           the sample cadence), so only timestamp precision coarsens.
-           The frame buffer is reused across blocks — allocated once,
-           lazily, from the first decoded frame. *)
-        let buf = ref [||] in
-        let continue = ref true in
-        while !continue do
-          let first_sampled = !seen land sample_mask = 0 in
-          let first_dur = ref 0. in
-          let n = ref 0 in
-          while !continue && !n < block do
-            let t0 = if first_sampled && !n = 0 then Clock.now_us () else 0. in
-            match Framing.next reader with
-            | Framing.Frame w ->
-              if first_sampled && !n = 0 then first_dur := Clock.now_us () -. t0;
-              if Array.length !buf = 0 then buf := Array.make block w;
-              !buf.(!n) <- w;
-              incr n
-            | Framing.Crc_error -> incr crc_errors
-            | Framing.Bad_frame _ -> incr bad_frames
-            | Framing.Truncated ->
-              truncated := true;
-              continue := false
-            | Framing.Eof -> continue := false
-          done;
-          let arr = !buf in
-          for i = 0 to !n - 1 do
-            let w = arr.(i) in
-            let sampled = i = 0 && first_sampled in
-            sampling := sampled;
-            if sampled then begin
-              let now = Clock.now_us () in
-              Watermark.observe_decode wm ~id:w.Wire.id ~dur_us:!first_dur;
-              last_us := now;
-              Admission.push ~at_us:now adm w
-            end
-            else begin
-              Watermark.advance_decode wm ~id:w.Wire.id;
-              Admission.push ~at_us:!last_us adm w
-            end;
-            beat ()
-          done
-        done;
-        (0, 0)
+        Watermark.advance_decode wm ~id:w.Wire.id;
+        Admission.push ~at_us:!last_us adm w
+      end;
+      incr seen;
+      if !seen mod tick_every = 0 then begin
+        (* publish point: bring the watermark gauges up to the exact
+           trackers before the tick callback republishes telemetry *)
+        Watermark.sync wm;
+        tick ()
       end
-    end
-    else if block > 1 then begin
-      (* pipelined block mode: the reader domain decodes whole blocks
-         and hands each over with a single queue operation — the
-         hand-off synchronization is paid once per block instead of once
-         per frame. Each chunk is a fresh array (ownership moves across
-         domains); its first frame's decode duration travels with it. *)
-      let q = Bqueue.create ~policy:config.queue_policy ~capacity:config.queue_capacity () in
-      let producer =
-        Domain.spawn (fun () ->
-            let crc = ref 0 and bad = ref 0 and trunc = ref false in
-            let continue = ref true in
-            while !continue do
-              let arr = ref [||] in
-              let first_dur = ref 0. in
-              let n = ref 0 in
-              while !continue && !n < block do
-                let t0 = if !n = 0 then Clock.now_us () else 0. in
-                match Framing.next reader with
-                | Framing.Frame w ->
-                  if !n = 0 then begin
-                    first_dur := Clock.now_us () -. t0;
-                    arr := Array.make block w
-                  end;
-                  !arr.(!n) <- w;
-                  incr n
-                | Framing.Crc_error -> incr crc
-                | Framing.Bad_frame _ -> incr bad
-                | Framing.Truncated ->
-                  trunc := true;
-                  continue := false
-                | Framing.Eof -> continue := false
-              done;
-              if !n > 0 then ignore (Bqueue.push q (!arr, !n, !first_dur, Clock.now_us ()))
-            done;
-            Bqueue.close q;
-            (!crc, !bad, !trunc))
-      in
-      let continue = ref true in
-      while !continue do
-        Ocep_stats.Histogram.record mt.g_occupancy (float_of_int (Bqueue.length q));
-        match Bqueue.pop q with
-        | Some (arr, n, first_dur, enq_us) ->
-          for i = 0 to n - 1 do
-            let w = arr.(i) in
-            let sampled = i = 0 && !seen land sample_mask = 0 in
-            sampling := sampled;
-            if sampled then begin
-              let now = Clock.now_us () in
-              Watermark.observe_decode wm ~id:w.Wire.id ~dur_us:first_dur;
-              Watermark.observe_queue wm ~dur_us:(now -. enq_us);
-              last_us := now;
-              Admission.push ~at_us:now adm w
-            end
-            else begin
-              Watermark.advance_decode wm ~id:w.Wire.id;
-              Admission.push ~at_us:!last_us adm w
-            end;
-            beat ()
-          done
-        | None -> continue := false
+    done
+  in
+  let block = max 1 block_size in
+  let r, queue_shed, queue_max =
+    if not pipeline then begin
+      (* read a block, admit it, repeat — one reused buffer; the decode
+         clock runs only when the block's first frame will be sampled *)
+      let r = reader_state reader in
+      let buf = Array.make block no_frame in
+      while not r.finished do
+        let n = read_block r ~timed:(!seen land sample_mask = 0) ~decode_us:stamps buf in
+        admit_block ~queued:false buf n
       done;
-      let crc, bad, trunc = Domain.join producer in
-      crc_errors := crc;
-      bad_frames := bad;
-      truncated := trunc;
-      (Bqueue.shed q, Bqueue.max_occupancy q)
+      (r, 0, 0)
     end
     else begin
-      (* the reader domain decodes and CRC-checks; this domain matches.
-         Per-frame error counts are tallied reader-side and handed back
-         at join, so all metrics stay single-domain: decode durations
-         travel with the frame and are recorded here at pop. *)
-      let q = Bqueue.create ~policy:config.queue_policy ~capacity:config.queue_capacity () in
+      (* a reader domain decodes and CRC-checks blocks and hands each
+         over with one queue operation; this domain admits and matches.
+         Each block is a fresh array (ownership moves across domains)
+         and carries its first frame's decode time and its enqueue
+         stamp. Damage is tallied reader-side and handed back at join,
+         so all metrics stay single-domain. *)
+      let q = Bqueue.create ~policy:queue_policy ~capacity:queue_capacity () in
       let producer =
         Domain.spawn (fun () ->
-            let crc = ref 0 and bad = ref 0 and trunc = ref false in
-            let continue = ref true in
-            while !continue do
-              let t0 = Clock.now_us () in
-              match Framing.next reader with
-              | Framing.Frame w ->
-                let done_us = Clock.now_us () in
-                ignore (Bqueue.push q (w, done_us -. t0, done_us))
-              | Framing.Crc_error -> incr crc
-              | Framing.Bad_frame _ -> incr bad
-              | Framing.Truncated ->
-                trunc := true;
-                continue := false
-              | Framing.Eof -> continue := false
-            done;
-            Bqueue.close q;
-            (!crc, !bad, !trunc))
+            let r = reader_state reader in
+            let decode_us = [| 0. |] in
+            Fun.protect
+              ~finally:(fun () -> Bqueue.close q)
+              (fun () ->
+                while not r.finished do
+                  let buf = Array.make block no_frame in
+                  let n = read_block r ~timed:true ~decode_us buf in
+                  if n > 0 then ignore (Bqueue.push q (buf, n, decode_us.(0), Clock.now_us ()))
+                done);
+            r)
       in
       let continue = ref true in
       while !continue do
         Ocep_stats.Histogram.record mt.g_occupancy (float_of_int (Bqueue.length q));
         match Bqueue.pop q with
-        | Some (w, decode_dur, enq_us) ->
-          let sampled = !seen land sample_mask = 0 in
-          sampling := sampled;
-          if sampled then begin
-            let now = Clock.now_us () in
-            Watermark.observe_decode wm ~id:w.Wire.id ~dur_us:decode_dur;
-            Watermark.observe_queue wm ~dur_us:(now -. enq_us);
-            last_us := now;
-            Admission.push ~at_us:now adm w
-          end
-          else begin
-            Watermark.advance_decode wm ~id:w.Wire.id;
-            Admission.push ~at_us:!last_us adm w
-          end;
-          beat ()
+        | Some (buf, n, decode_us, queued_us) ->
+          stamps.(0) <- decode_us;
+          stamps.(1) <- queued_us;
+          admit_block ~queued:true buf n
         | None -> continue := false
       done;
-      let crc, bad, trunc = Domain.join producer in
-      crc_errors := crc;
-      bad_frames := bad;
-      truncated := trunc;
-      (Bqueue.shed q, Bqueue.max_occupancy q)
+      let r = Domain.join producer in
+      (r, Bqueue.shed q, Bqueue.max_occupancy q)
     end
   in
   Admission.finish adm;
   Watermark.sync wm;
   let a = Admission.stats adm in
   Metrics.incr mt.g_frames ~by:a.Admission.frames ();
-  Metrics.incr mt.g_crc ~by:!crc_errors ();
-  Metrics.incr mt.g_bad ~by:!bad_frames ();
-  Metrics.incr mt.g_truncated ~by:(if !truncated then 1 else 0) ();
+  Metrics.incr mt.g_crc ~by:r.crc_errors ();
+  Metrics.incr mt.g_bad ~by:r.bad_frames ();
+  Metrics.incr mt.g_truncated ~by:(if r.truncated then 1 else 0) ();
   Metrics.incr mt.g_admitted ~by:a.Admission.admitted ();
   Metrics.incr mt.g_duplicates ~by:a.Admission.duplicates ();
   Metrics.incr mt.g_late ~by:a.Admission.late ();
@@ -357,12 +256,10 @@ let replay_stream ?(config = default_config) ?(tick = fun () -> ()) ~engine read
   Metrics.incr mt.g_shed ~by:queue_shed ();
   {
     frames = a.Admission.frames;
-    crc_errors = !crc_errors;
-    bad_frames = !bad_frames;
-    truncated = !truncated;
+    crc_errors = r.crc_errors;
+    bad_frames = r.bad_frames;
+    truncated = r.truncated;
     queue_shed;
     queue_max_occupancy = queue_max;
     admission = a;
   }
-
-let replay = replay_stream

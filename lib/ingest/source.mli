@@ -32,36 +32,22 @@
     (reordered) releases always carry a fresh admit stamp, so
     reorder-buffer residency is measured exactly.
 
-    With [pipeline] set, a dedicated domain reads and CRC-checks frames
-    while the calling domain runs admission and matching, the two
-    coupled by a {!Bqueue} whose policy is the backpressure stance.
-    Shedding loses frames exactly like a lossy transport — the admission
-    layer turns each shed frame into a gap, so [Shed] only preserves
-    match reports when the gap policy tolerates loss. *)
-
-type config = {
-  admission : Admission.config;
-  queue_capacity : int;
-      (** pipelined mode: frames (block mode: blocks) buffered between
-          the domains *)
-  queue_policy : Bqueue.policy;
-  pipeline : bool;
-  block_size : int;
-      (** > 1 enables block mode: frames are decoded and admitted in
-          chunks of this size, amortizing per-record costs — the decode
-          loop's clock sampling, and in pipelined mode the queue
-          hand-off synchronization (one push/pop per block instead of
-          per frame). Admission order, verdicts, watermarks and lag are
-          identical to the per-record path; full clock stamps land on
-          at most one frame per block, so only the timestamp precision
-          of the latency histograms coarsens (and with [Shed],
-          [queue_shed] counts shed {e blocks}). [1] (the default) is
-          the exact per-record path. *)
-}
-
-val default_config : config
-(** default admission, capacity 4096, [Block], pipeline off,
-    block_size 1. *)
+    There is one frame reader and one admit path. The reader decodes up
+    to [block_size] frames into a block, tallying CRC errors, bad frames
+    and truncation; the admit path pushes the block's frames through
+    admission in order. Without [pipeline] the calling domain
+    alternates the two over one reused block buffer (a block of 1 is
+    the per-record path). With [pipeline] a dedicated domain runs the
+    reader and hands each block over a {!Bqueue} — one queue operation
+    per block — whose policy is the backpressure stance, while the
+    calling domain runs admission and matching. Shedding loses frames
+    exactly like a lossy transport — the admission layer turns each
+    shed frame into a gap, so [Shed] only preserves match reports when
+    the gap policy tolerates loss. Admission order, verdicts,
+    watermarks and lag do not depend on the block size or the pipeline;
+    full clock stamps land on at most one frame per block, so only the
+    timestamp precision of the latency histograms coarsens with larger
+    blocks. *)
 
 type stats = {
   frames : int;  (** well-formed frames offered to admission *)
@@ -74,18 +60,21 @@ type stats = {
 }
 
 val replay_stream :
-  ?config:config -> ?tick:(unit -> unit) -> engine:Ocep.Engine.t -> Framing.reader -> stats
+  admission:Admission.config ->
+  pipeline:bool ->
+  queue_capacity:int ->
+  queue_policy:Bqueue.policy ->
+  block_size:int ->
+  ?tick:(unit -> unit) ->
+  engine:Ocep.Engine.t ->
+  Framing.reader ->
+  stats
 (** Drives the reader to [Eof]/[Truncated], feeding admitted events to
     {!Ocep.Engine.feed_wire}, then finishes admission and syncs the
-    [ocep_ingest_*] instruments. [tick] is called every 1024 frames on
-    the ingesting domain — the hook the CLI uses to republish telemetry
-    under live load. Raises [Invalid_argument] when the stream's trace
-    table does not match the engine's POET store (same names, same
-    order), and lets {!Admission.Gap} escape. *)
-
-val replay :
-  ?config:config -> ?tick:(unit -> unit) -> engine:Ocep.Engine.t -> Framing.reader -> stats
-[@@deprecated "use Session.replay (typed Session.config) or Source.replay_stream"]
-(** Alias of {!replay_stream}, kept for one release so out-of-tree
-    callers keep compiling; {!Session.replay} is the supported entry
-    point and adds fault degradation. *)
+    [ocep_ingest_*] instruments. The knobs are {!Session.config}'s
+    fields of the same names ({!Session.replay} is the public entry
+    point). [tick] is called every 1024 frames on the ingesting domain —
+    the hook the CLI uses to republish telemetry under live load.
+    Raises [Invalid_argument] when the stream's trace table does not
+    match the engine's POET store (same names, same order), and lets
+    {!Admission.Gap} escape. *)

@@ -28,7 +28,6 @@ type config = {
   trace_capacity : int;
   provenance : bool;
   provenance_capacity : int;
-  arena : bool;
 }
 
 let default_trace_capacity = 65_536
@@ -59,7 +58,6 @@ let default_config =
     trace_capacity = default_trace_capacity;
     provenance = true;
     provenance_capacity = default_provenance_capacity;
-    arena = true;
   }
 
 (* Reject configurations that would crash later (gc_every = Some 0 used
@@ -210,12 +208,10 @@ type t = {
          stamp: the flight recorder reads the clock once every 16
          events and reuses the stamp in between, so always-on
          provenance pays ~2 ns/event of clock time instead of ~30 *)
-  (* the event currently being dispatched, in whichever form the
-     subscription delivered it. In arena mode [cur_ev] starts at the
-     [Event.none] sentinel and [cur_event] materializes the boxed view
-     on first demand (class match, search anchor) — events matching no
-     class never get boxed at all. In record mode [cur_ev] is the
-     subscription argument and [cur_eid] is -1. *)
+  (* the event currently being dispatched: its arena eid, and the boxed
+     view, which starts at the [Event.none] sentinel and is materialized
+     by [cur_event] on first demand (class match, search anchor) —
+     events matching no class never get boxed at all. *)
   mutable cur_eid : int;
   mutable cur_ev : Event.t;
   intern : string -> int;
@@ -654,11 +650,10 @@ let create_multi ?(config = default_config) ~poet () =
   let forced_fan_out = config.cutover_batch = 0 && config.cutover_work = 0 in
   let ewma old x = if old <= 0. then x else (0.8 *. old) +. (0.2 *. x) in
   let calib_samples = 3 in
-  (* The arrival body, shared by both subscription modes: everything up
-     to the searches needs only the scalar columns, so the arena path
-     dispatches without touching the OCaml heap; the boxed view is
-     demanded lazily by [cur_event] exactly when a class matches. The
-     caller has set [cur_eid]/[cur_ev]. *)
+  (* The arrival body: everything up to the searches needs only the
+     scalar columns, so dispatch runs without touching the OCaml heap;
+     the boxed view is demanded lazily by [cur_event] exactly when a
+     class matches. The caller has set [cur_eid]/[cur_ev]. *)
   let arrive ~trace ~index ~tsym ~esym ~xsym ~comm =
     t.events_processed <- t.events_processed + 1;
     History.note_comm_store_i t.store ~trace ~comm;
@@ -911,33 +906,23 @@ let create_multi ?(config = default_config) ~poet () =
     end;
     maybe_gc ()
   in
-  if config.arena then begin
-    let ar = Poet.arena poet in
-    (* a trace's symbol never changes, so read it from this
-       cache-resident table instead of the arena's streaming tsym
-       column (one fewer cold column touched per event) *)
-    let tsyms =
-      Array.map (Symbol.intern (Poet.symbols poet)) (Poet.trace_names poet)
-    in
-    Poet.subscribe_flat poet (fun eid ->
-        t.cur_eid <- eid;
-        (* avoid a write-barrier store per event: [cur_ev] only needs
-           clearing after a boxed-view materialization *)
-        if t.cur_ev != Event.none then t.cur_ev <- Event.none;
-        let trace = Arena.unsafe_trace ar eid in
-        arrive ~trace
-          ~index:(Arena.unsafe_index ar eid)
-          ~tsym:(Array.unsafe_get tsyms trace)
-          ~esym:(Arena.unsafe_esym ar eid)
-          ~xsym:(Arena.unsafe_xsym ar eid)
-          ~comm:(Arena.is_comm_tag (Arena.unsafe_kind_tag ar eid)))
-  end
-  else
-    Poet.subscribe poet (fun (ev : Event.t) ->
-        t.cur_eid <- -1;
-        t.cur_ev <- ev;
-        arrive ~trace:ev.trace ~index:ev.index ~tsym:ev.tsym ~esym:ev.esym ~xsym:ev.xsym
-          ~comm:(Event.is_comm ev));
+  let ar = Poet.arena poet in
+  (* a trace's symbol never changes, so read it from this cache-resident
+     table instead of the arena's streaming tsym column (one fewer cold
+     column touched per event) *)
+  let tsyms = Array.map (Symbol.intern (Poet.symbols poet)) (Poet.trace_names poet) in
+  Poet.subscribe_flat poet (fun eid ->
+      t.cur_eid <- eid;
+      (* avoid a write-barrier store per event: [cur_ev] only needs
+         clearing after a boxed-view materialization *)
+      if t.cur_ev != Event.none then t.cur_ev <- Event.none;
+      let trace = Arena.unsafe_trace ar eid in
+      arrive ~trace
+        ~index:(Arena.unsafe_index ar eid)
+        ~tsym:(Array.unsafe_get tsyms trace)
+        ~esym:(Arena.unsafe_esym ar eid)
+        ~xsym:(Arena.unsafe_xsym ar eid)
+        ~comm:(Arena.is_comm_tag (Arena.unsafe_kind_tag ar eid)));
   t
 
 let register_pattern t net =
@@ -1045,8 +1030,6 @@ let create ?config ?(patterns = []) ?net ~poet () =
   Option.iter (fun n -> ignore (register_pattern t n)) net;
   List.iter (fun n -> ignore (register_pattern t n)) patterns;
   t
-
-let pattern_ids t = List.map (fun (p : pstate) -> p.pid) t.patterns
 
 let pattern_count t = List.length t.patterns
 
@@ -1219,22 +1202,6 @@ let poet t = t.poet
 let feed_raw t raw = Poet.ingest t.poet raw
 
 let feed_raw_flat t raw = ignore (Poet.ingest_flat t.poet raw : int)
-
-(* Batch feed: one bounds check and one tight loop per block instead of
-   a per-event call through the boxed [ingest]. In arena mode nothing in
-   the loop allocates unless an event class-matches. *)
-let feed_block t ?(off = 0) ?len raws =
-  let n = Array.length raws in
-  let len = match len with Some l -> l | None -> n - off in
-  if off < 0 || len < 0 || off + len > n then
-    invalid_arg
-      (Printf.sprintf "Engine.feed_block: off %d len %d out of bounds for %d records" off len n);
-  let poet = t.poet in
-  for i = off to off + len - 1 do
-    ignore (Poet.ingest_flat poet (Array.unsafe_get raws i) : int)
-  done
-
-let arena_mode t = t.cfg.arena
 
 let set_wire_stamps t ~decode_us ~admit_us =
   Array.unsafe_set t.pw_times 0 decode_us;

@@ -19,6 +19,12 @@
     observables are bit-identical to a dedicated single-pattern engine
     fed the same stream.
 
+    The engine subscribes to the POET store's flat eid stream
+    ({!Ocep_poet.Poet.subscribe_flat}): dispatch reads the arena's
+    integer columns and boxes an event ({!Ocep_poet.Poet.materialize})
+    only when it joins some class, so events matching no class cost no
+    OCaml-heap allocation.
+
     On arrival of an event the engine (1) advances the communication
     epoch, (2) appends the event once to the history of every event class
     it matches, and (3) for each pattern with {e terminating} matched
@@ -132,16 +138,6 @@ type config = {
           reconstructs causal chains from. On by default: recording is
           one clock read and a few array stores per event. *)
   provenance_capacity : int;  (** flight-recorder window, per trace *)
-  arena : bool;
-      (** subscribe to the POET store's flat eid stream instead of the
-          boxed [Event.t] stream. The dispatch prologue (epoch note,
-          flight stamp, class match) then runs on arena columns —
-          integer loads, no per-event allocation — and the boxed event
-          is materialized lazily, only for events that match some
-          class. Observables are bit-identical in both modes (the
-          differential fuzzer's arena oracle holds the engine to that);
-          the switch exists for the ablation benchmarks and the oracle
-          itself. On by default. *)
 }
 
 val default_config : config
@@ -152,7 +148,7 @@ val default_config : config
     enabled), provenance on with a 1_024-event window per trace (sized
     to keep the flight ring cache-resident; raise it when a deeper
     [ocep explain] window matters more than the last few percent of
-    throughput), arena dispatch on. *)
+    throughput). *)
 
 type t
 
@@ -284,9 +280,6 @@ val remove_pattern : t -> pattern_id -> unit
     [Ocep_error.Error (Unknown_pattern _)] on an unknown or removed
     id. *)
 
-val pattern_ids : t -> pattern_id list
-(** Ids of the live patterns, ascending registration order. *)
-
 val pattern_count : t -> int
 
 (** {1 Engine-wide accessors}
@@ -322,20 +315,10 @@ val feed_raw : t -> Event.raw -> Event.t
     this way carry the [Direct] provenance verdict. *)
 
 val feed_raw_flat : t -> Event.raw -> unit
-(** {!feed_raw} without the boxed return value. In arena mode (and with
-    no other boxed POET clients) the whole ingest + dispatch path then
-    allocates nothing for events that match no class — the hot-path
-    entry point for raw-speed feeding. *)
-
-val feed_block : t -> ?off:int -> ?len:int -> Event.raw array -> unit
-(** Feed a block of raw events ([off], [len] select a slice; the whole
-    array by default): one tight loop over {!feed_raw_flat}, the batch
-    half of the arrival path used by {!Ocep_ingest.Source}'s block mode
-    and the benchmarks. Raises [Invalid_argument] on an out-of-bounds
-    slice. *)
-
-val arena_mode : t -> bool
-(** Whether this engine subscribed in arena (flat eid) mode. *)
+(** {!feed_raw} without the boxed return value. With no boxed POET
+    clients the whole ingest + dispatch path then allocates nothing for
+    events that match no class — the hot-path entry point for raw-speed
+    feeding. *)
 
 val set_wire_stamps : t -> decode_us:float -> admit_us:float -> unit
 (** Set the decode/admit timestamps the flight recorder will stamp on

@@ -30,8 +30,7 @@ type store = {
   epochs : int array;  (* communication events seen per trace *)
   classes : cls Vec.t;
       (* class id -> history; ids are the engine's automaton node ids
-         (bound via ensure_class) or, for standalone views, alloc_class's *)
-  mutable free : int list;  (* ids released by release_class, for reuse *)
+         (bound via ensure_class) or, for standalone views, leaf ids *)
   mutable total : int;  (* live entries across all classes, O(1) *)
   mutable dropped : int;
   mutable pruned : int;  (* entries merged away by the O(1) pruning rule *)
@@ -44,7 +43,6 @@ type store = {
 type t = {
   store : store;
   cls_of : cls array;  (* leaf -> its class record, O(1) hot path *)
-  cls_ids : int array;  (* leaf -> class id in the store *)
 }
 
 let fresh_cls n_traces =
@@ -63,7 +61,6 @@ let create_store ~n_traces ~pruning ?max_per_trace () =
     n_traces;
     epochs = Array.make n_traces 0;
     classes = Vec.create ();
-    free = [];
     total = 0;
     dropped = 0;
     pruned = 0;
@@ -72,63 +69,42 @@ let create_store ~n_traces ~pruning ?max_per_trace () =
 
 let set_run_cap s k = if k > s.run_cap then s.run_cap <- k
 
-let alloc_class s =
-  match s.free with
-  | id :: rest ->
-    s.free <- rest;
-    Vec.set s.classes id (fresh_cls s.n_traces);
-    id
-  | [] ->
-    Vec.push s.classes (fresh_cls s.n_traces);
-    Vec.length s.classes - 1
-
 (* Bind storage for an externally-allocated class id — since the
    registry compiles into a discrimination network, the store is keyed
    on automaton node ids (the network owns allocation and recycling, so
    ids stay dense). A recycled id's slot already holds fresh storage
-   (release replaced it); a brand-new id extends the vector. The id is
-   pulled out of [free] so the legacy [alloc_class] path can never hand
-   it out while bound. *)
+   (release replaced it); a brand-new id extends the vector. *)
 let ensure_class s id =
   while Vec.length s.classes <= id do
     Vec.push s.classes (fresh_cls s.n_traces)
-  done;
-  s.free <- List.filter (fun x -> x <> id) s.free
+  done
 
 let release_class s id =
   let c = Vec.get s.classes id in
   s.total <- s.total - c.count;
-  (* replace the storage so a stale reference cannot resurrect it; the id
-     is reused by a later alloc_class *)
-  Vec.set s.classes id (fresh_cls s.n_traces);
-  s.free <- id :: s.free
+  (* replace the storage so a stale reference cannot resurrect it; the
+     network hands the id out again later *)
+  Vec.set s.classes id (fresh_cls s.n_traces)
 
 let class_count s = Vec.length s.classes
 
-let view s ~classes =
-  { store = s; cls_of = Array.map (Vec.get s.classes) classes; cls_ids = Array.copy classes }
-
-let store_of t = t.store
-
-let class_id t ~leaf = t.cls_ids.(leaf)
+let view s ~classes = { store = s; cls_of = Array.map (Vec.get s.classes) classes }
 
 let create net ~n_traces ~pruning ?max_per_trace () =
   (* standalone compatibility constructor: one private class per leaf
      (no sharing), exactly the pre-registry behavior — the engine builds
-     shared views through [create_store]/[alloc_class]/[view] instead *)
+     shared views through [create_store]/[ensure_class]/[view] instead *)
   let k = Compile.size net in
   let s = create_store ~n_traces ~pruning ?max_per_trace () in
   set_run_cap s k;
-  view s ~classes:(Array.init k (fun _ -> alloc_class s))
+  ensure_class s (k - 1);
+  view s ~classes:(Array.init k Fun.id)
 
-let note_comm_store s (ev : Event.t) =
-  if Event.is_comm ev then s.epochs.(ev.trace) <- s.epochs.(ev.trace) + 1
-
-(* the arena dispatch path's twin of [note_comm_store]: the caller has
-   the trace and comm-ness as ints already and no boxed event to offer *)
+(* the engine's dispatch path: the caller has the trace and comm-ness
+   as ints already and no boxed event to offer *)
 let note_comm_store_i s ~trace ~comm = if comm then s.epochs.(trace) <- s.epochs.(trace) + 1
 
-let note_comm t ev = note_comm_store t.store ev
+let note_comm t (ev : Event.t) = note_comm_store_i t.store ~trace:ev.trace ~comm:(Event.is_comm ev)
 
 let index_push tbl xsym pos =
   let v =
@@ -239,11 +215,7 @@ let positions_for_text t ~leaf ~trace xsym = Itbl.find_opt t.cls_of.(leaf).by_te
 
 let generation t ~leaf ~trace = t.cls_of.(leaf).gens.(trace)
 
-let total_entries t = t.store.total
-
 let store_entries s = s.total
-
-let class_entries s ~cls = (Vec.get s.classes cls).count
 
 let gc_store s ~thresholds ~classes =
   let dropped0 = s.dropped in
@@ -262,24 +234,7 @@ let gc_store s ~thresholds ~classes =
     classes;
   s.dropped - dropped0
 
-let gc t ~thresholds ~leaves =
-  (* per-leaf enable bits mapped onto class ids; with shared classes the
-     bits are OR-ed, so only use this view-level entry point when every
-     leaf sharing a class agrees (the engine computes the AND itself and
-     calls {!gc_store}) *)
-  let classes = Array.make (class_count t.store) false in
-  Array.iteri (fun leaf enabled -> if enabled then classes.(t.cls_ids.(leaf)) <- true) leaves;
-  gc_store t.store ~thresholds ~classes
-
 let entries_for t ~leaf = t.cls_of.(leaf).count
-
-let dropped t = t.store.dropped
-
-let pruned t = t.store.pruned
-
-let cap_evicted t = t.store.cap_evicted
-
-let epochs_total t = Array.fold_left ( + ) 0 t.store.epochs
 
 let store_dropped s = s.dropped
 

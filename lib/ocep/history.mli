@@ -58,25 +58,20 @@ val set_run_cap : store -> int -> unit
     the store — the engine calls this with {!Ocep_pattern.Compile.size}
     at registration, and the standalone {!create} sets it from its net. *)
 
-val alloc_class : store -> int
-(** A fresh, empty class; its id. Ids of released classes are reused.
-    Legacy store-owned allocation — the multi-pattern engine keys the
-    store on discrimination-network node ids via {!ensure_class}
-    instead. *)
-
 val ensure_class : store -> int -> unit
-(** Bind fresh, empty storage to an externally-allocated class id — the
-    engine's path since the registry compiles into a discrimination
-    network whose node ids key the store (the network owns allocation
-    and recycling, keeping ids dense). Idempotent for an id already
-    bound by the network discipline: a recycled id's slot was replaced
-    with fresh storage at {!release_class} time. *)
+(** Bind fresh, empty storage to every class id up to and including the
+    given one that has none yet. The engine keys the store on its
+    discrimination network's node ids (the network owns allocation and
+    recycling, keeping ids dense). Idempotent for an id already bound: a
+    recycled id's slot was replaced with fresh storage at
+    {!release_class} time. *)
 
 val release_class : store -> int -> unit
 (** Drop the class's storage (its entries leave {!store_entries}
-    immediately, without counting as {!dropped}) and recycle the id. Only
-    call once no live view references the class — the engine does this
-    when the last pattern subscribed to a class is removed. *)
+    immediately, without counting as {!store_dropped}) and bind fresh,
+    empty storage in its place. Only call once no live view references
+    the class — the engine does this when the last pattern subscribed to
+    a class is removed. *)
 
 val class_count : store -> int
 (** Allocated class ids are [0, class_count) (including released ones). *)
@@ -84,38 +79,46 @@ val class_count : store -> int
 val view : store -> classes:(int array) -> t
 (** The view mapping leaf [l] to class [classes.(l)]. The array is copied. *)
 
-val store_of : t -> store
-
-val class_id : t -> leaf:int -> int
-
 val add_class : store -> cls:int -> Event.t -> unit
 (** Append to the class's history on the event's trace (with pruning) —
     the engine's per-arrival write, executed once per matched class
     regardless of how many (pattern, leaf) pairs subscribe to it. *)
 
-val note_comm_store : store -> Event.t -> unit
-
 val note_comm_store_i : store -> trace:int -> comm:bool -> unit
-(** [note_comm_store] for callers that carry the event as arena columns:
+(** {!note_comm} for callers that carry the event as arena columns:
     advance [trace]'s communication epoch when [comm]. *)
 
-val class_entries : store -> cls:int -> int
-
 val store_entries : store -> int
+(** Current number of stored entries across all classes — for an
+    engine's store, all patterns: the monitor's storage footprint. *)
 
 val store_dropped : store -> int
+(** Entries evicted by the [max_per_trace] cap or by {!gc_store} (not
+    by the O(1) pruning rule). *)
 
 val store_pruned : store -> int
+(** Entries merged away by the O(1) pruning rule (oldest member of a
+    consecutive identical-event block, see the module header). *)
 
 val store_cap_evicted : store -> int
+(** Entries evicted by the [max_per_trace] cap alone, i.e.
+    {!store_dropped} minus GC drops. *)
 
 val store_epochs_total : store -> int
+(** Communication-epoch advances summed over all traces — one per
+    send/receive seen by {!note_comm} or {!note_comm_store_i}. *)
 
 val gc_store : store -> thresholds:int array -> classes:bool array -> int
-(** {!gc} by class id: drop dead entries of every class whose bit is set.
-    With shared classes the engine enables a class only when {e every}
-    subscribed (pattern, leaf) pair is GC-able — the sound (conservative)
-    AND. Returns the number of entries dropped. *)
+(** The paper's future-work extension: drop entries that can no longer
+    generate new matches, in every class whose bit is set.
+    [thresholds.(tr)] is the greatest trace index on [tr] already in the
+    causal past of {e every} trace's frontier — any future event is
+    causally after such entries, so for a class whose subscribed leaves'
+    relation to every possible anchor leaf excludes [Before] they are
+    dead. With shared classes the engine enables a class only when
+    {e every} subscribed (pattern, leaf) pair is GC-able — the sound
+    (conservative) AND. Returns the number of entries dropped; rebuilds
+    the text index of the affected histories. *)
 
 (** {1 Per-leaf view API (unchanged from the single-pattern engine)} *)
 
@@ -150,40 +153,7 @@ val generation : t -> leaf:int -> trace:int -> int
     — the basis of the engine's "skip a pinned search whose slot saw
     nothing new since it last failed" filter. *)
 
-val total_entries : t -> int
-(** Current number of stored entries across the whole underlying store
-    (all classes — for an engine view that is all patterns), the
-    monitor's storage footprint. *)
-
 val entries_for : t -> leaf:int -> int
 (** Stored entries of the leaf's class across all traces. O(1):
     maintained as a per-class counter so the engine can use it as a work
     estimate on every terminating arrival. *)
-
-val dropped : t -> int
-(** Entries evicted by the [max_per_trace] cap or by {!gc} (not by the
-    O(1) pruning rule). *)
-
-val pruned : t -> int
-(** Entries merged away by the O(1) pruning rule (oldest member of a
-    consecutive identical-event block, see the module header). *)
-
-val cap_evicted : t -> int
-(** Entries evicted by the [max_per_trace] cap alone, i.e. {!dropped}
-    minus GC drops. *)
-
-val epochs_total : t -> int
-(** Communication-epoch advances summed over all traces — one per
-    send/receive seen by {!note_comm}. *)
-
-val gc : t -> thresholds:int array -> leaves:bool array -> int
-(** The paper's future-work extension: drop entries that can no longer
-    generate new matches. [thresholds.(tr)] is the greatest trace index on
-    [tr] already in the causal past of {e every} trace's frontier — any
-    future event is causally after such entries, so for a leaf whose
-    relation to every possible anchor leaf excludes [Before] (enabled via
-    [leaves]) they are dead. Returns the number of entries dropped;
-    rebuilds the text index of the affected histories. Per-leaf bits are
-    OR-ed onto shared classes — only use this view-level entry point when
-    every leaf sharing a class agrees (the engine computes the
-    conservative AND and calls {!gc_store} directly). *)

@@ -13,9 +13,9 @@ let search ~pool ~net ~history ~n_traces ~trace_of_sym ~partner_of ~anchor_leaf 
     let stop = Atomic.make false in
     (* one task per worker, each owning an interleaved slice of the traces:
        dispatch cost is paid per worker, not per trace *)
-    let w = Pool.workers pool in
-    let tasks =
-      Array.init (min w n_traces) (fun slice () ->
+    let slices = min (Search_pool.workers pool) n_traces in
+    let results =
+      Search_pool.run pool ~n:slices (fun slice ->
           let task_stats = Matcher.new_stats () in
           let best = ref Matcher.Not_found in
           let t = ref slice in
@@ -29,11 +29,10 @@ let search ~pool ~net ~history ~n_traces ~trace_of_sym ~partner_of ~anchor_leaf 
               best := f
             | Matcher.Aborted -> best := Matcher.Aborted
             | Matcher.Not_found -> ());
-            t := !t + min w n_traces
+            t := !t + slices
           done;
           (!best, task_stats))
     in
-    let results = Pool.run_all pool tasks in
     stats.Matcher.searches <- stats.Matcher.searches + 1;
     Array.iter
       (fun (_, (s : Matcher.stats)) ->

@@ -9,13 +9,14 @@
     ordinary sequential matcher; the subtrees are disjoint, so a match
     found by any task is a match of the whole search, and all tasks
     failing is exhaustive failure. A shared stop flag lets the remaining
-    tasks return immediately once a match is found. *)
+    tasks return immediately once a match is found. The tasks run on
+    the engine's worker pool ({!Search_pool}), one per worker. *)
 
 open Ocep_base
 module Compile = Ocep_pattern.Compile
 
 val search :
-  pool:Pool.t ->
+  pool:Search_pool.t ->
   net:Compile.inet ->
   history:History.t ->
   n_traces:int ->

@@ -18,9 +18,8 @@
       [workers:1] degenerates to a plain sequential loop with no domains
       at all.
 
-    Distinct from {!Pool}/{!Par}, which parallelize the inside of a
-    single search (the first backtracking level's traces); this pool
-    parallelizes across whole searches and is what {!Engine} uses.
+    {!Engine} runs whole searches on it; {!Par} runs the slices of one
+    search's first backtracking level on it.
 
     Thread-safety contract: the task function must only read state
     shared with other tasks and with the submitting domain. The engine's

@@ -320,8 +320,7 @@ let ingest_flat t (raw : Event.raw) =
   let nflat = Array.length flats in
   t.notified <- t.notified + nboxed + nflat;
   (* flat subscribers first: the engine registers at creation, before
-     any boxed client, so record-mode observers keep seeing a
-     post-dispatch engine either way *)
+     any boxed client, so boxed observers see a post-dispatch engine *)
   for i = 0 to nflat - 1 do
     (Array.unsafe_get flats i) eid
   done;

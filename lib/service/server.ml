@@ -62,6 +62,7 @@ type tenant = {
   t_frames : int Atomic.t;
   t_admitted : int Atomic.t;
   t_shed : int Atomic.t;
+  t_frame_errors : int Atomic.t;  (* frames failing CRC or decode *)
   t_matches : int Atomic.t;
   (* response channel back to the tenant's connection *)
   t_wmu : Mutex.t;
@@ -131,6 +132,7 @@ let make_tenant cfg ~name ~traces ~quota ~policy ~wr =
     t_frames = Atomic.make 0;
     t_admitted = admitted;
     t_shed = Atomic.make 0;
+    t_frame_errors = Atomic.make 0;
     t_matches = Atomic.make 0;
     t_wmu = Mutex.create ();
     t_wr = wr;
@@ -154,6 +156,11 @@ let release t n =
   Condition.broadcast t.t_cond;
   Mutex.unlock t.t_mu
 
+(* A tenant's stream can fail its own engine — a gap its policy will not
+   absorb, a frame naming a trace it does not have, or a CRC-valid
+   receive of a message never sent ([Poet.ingest] raises [Failure]).
+   Each fails that tenant only; the shard domain keeps serving the
+   others. *)
 let shard_data t frames =
   (if (not t.t_drained) && t.t_failed = None then
      try
@@ -161,7 +168,8 @@ let shard_data t frames =
        Atomic.set t.t_matches (Engine.matches_found t.t_engine)
      with
      | Admission.Gap m -> t.t_failed <- Some (Error.Bad_request ("unrecoverable gap: " ^ m))
-     | Invalid_argument m -> t.t_failed <- Some (Error.Trace_mismatch m));
+     | Invalid_argument m -> t.t_failed <- Some (Error.Trace_mismatch m)
+     | Failure m -> t.t_failed <- Some (Error.Bad_request m));
   release t (Array.length frames)
 
 let tenant_stats t =
@@ -224,7 +232,10 @@ let shard_ctl cfg t seq req =
           Control.Ok (Control.stats_fields (tenant_stats t))
         | exception Admission.Gap m ->
           t.t_drained <- true;
-          Control.Err (Error.Bad_request ("unrecoverable gap at drain: " ^ m))))
+          Control.Err (Error.Bad_request ("unrecoverable gap at drain: " ^ m))
+        | exception Failure m ->
+          t.t_drained <- true;
+          Control.Err (Error.Bad_request m)))
   in
   try respond t ~seq resp with _ -> ()
 
@@ -240,7 +251,7 @@ let shard_loop cfg sh =
       go ()
     | Some (Bye t) ->
       if (not t.t_drained) && t.t_failed = None then
-        (try Admission.finish t.t_adm with Admission.Gap _ -> ());
+        (try Admission.finish t.t_adm with Admission.Gap _ | Failure _ -> ());
       t.t_drained <- true;
       Atomic.set t.t_matches (Engine.matches_found t.t_engine);
       Engine.shutdown t.t_engine;
@@ -302,7 +313,7 @@ let stream srv t reader =
       | Result.Ok req -> ignore (Bqueue.push sh.s_q (Ctl (t, w.Wire.id, req)))
       | Result.Error e -> ( try respond t ~seq:w.Wire.id (Control.Err e) with _ -> ()))
     | Framing.Frame w -> offer w
-    | Framing.Crc_error | Framing.Bad_frame _ -> ()
+    | Framing.Crc_error | Framing.Bad_frame _ -> Atomic.incr t.t_frame_errors
     | Framing.Truncated | Framing.Eof -> continue := false
   done;
   flush ();
@@ -441,6 +452,8 @@ let publish_loop srv serve =
           (Atomic.get t.t_admitted);
         c "ocep_tenant_shed_total" "Frames dropped by the tenant's quota"
           (Atomic.get t.t_shed);
+        c "ocep_tenant_frame_errors_total" "Frames dropped for a CRC or decode error"
+          (Atomic.get t.t_frame_errors);
         c "ocep_tenant_matches_total" "Matches found for the tenant" (Atomic.get t.t_matches))
       ever;
     Array.iteri

@@ -40,7 +40,8 @@
     service-level metrics registry (the per-tenant engines' registries
     stay on their shard domains, per the {!Ocep_obs.Metrics} contract)
     and serves [ocep_tenant_events_total{tenant=...}],
-    [..._frames_total], [..._shed_total], [..._matches_total],
+    [..._frames_total], [..._shed_total], [..._frame_errors_total]
+    (frames dropped for a CRC or decode error), [..._matches_total],
     [ocep_service_tenants] and [ocep_shard_queue_depth{shard=...}] over
     the existing {!Ocep_obs.Serve} endpoint, refreshed from the shards'
     atomic counters twice a second. *)

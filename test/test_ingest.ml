@@ -607,57 +607,94 @@ let sequential_config = Engine.default_config
 let parallel_config =
   { Engine.default_config with Engine.parallelism = 4; cutover_batch = 0; cutover_work = 0 }
 
-(* Source.replay end to end over a file, pipelined: the full production
-   path (reader domain, bounded queue, admission, engine) reproduces the
-   direct digest *)
+(* A damaged wire log: the recorded stream reordered and duplicated
+   ([reorder:8,dup:0.01]), one frame in the middle with a flipped
+   payload byte (a CRC error) and the last frame cut short (a truncated
+   tail). *)
+let write_damaged_log ~path (w : Workload.t) =
+  let trace_names, frames = with_temp (fun clean -> record_to ~path:clean w; read_frames clean) in
+  let faulted =
+    Inject.apply_faults { Inject.f_reorder = 8; f_dup = 0.01; f_drop = 0. } ~seed:3 frames
+  in
+  let middle = List.length faulted / 2 in
+  let oc = open_out_bin path in
+  let wr = Framing.create_writer oc ~trace_names in
+  let corrupt_at = ref 0 in
+  List.iteri
+    (fun i f ->
+      if i = middle then begin
+        Framing.flush wr;
+        corrupt_at := pos_out oc
+      end;
+      Framing.write wr f)
+    faulted;
+  Framing.flush wr;
+  close_out oc;
+  flip path (!corrupt_at + 8);
+  let data = file_contents path in
+  let oc = open_out_bin path in
+  output_string oc (String.sub data 0 (String.length data - 3));
+  close_out oc
+
+(* Session.replay end to end over a file. A pristine log replayed
+   pipelined (reader domain, bounded queue, admission, engine)
+   reproduces the direct digest. A damaged log gives the same digest
+   and the same stats — frame, CRC, bad-frame and truncation tallies
+   and every admission counter — whatever the block size and whether
+   or not a reader domain decodes ahead. *)
 let source_replay_pipelined () =
-  let case = "races" in
-  let mk () = Cases.make case ~traces:6 ~seed:5 ~max_events:3000 in
+  let mk () = Cases.make "races" ~traces:6 ~seed:5 ~max_events:3000 in
   let w = mk () in
   let net = Compile.compile (Parser.parse w.Workload.pattern) in
   let direct_digest, direct_events = run_direct ~config:sequential_config ~net w in
-  with_temp @@ fun tmp ->
-  record_to ~path:tmp (mk ());
-  let ic = open_in_bin tmp in
-  Fun.protect ~finally:(fun () -> close_in ic) @@ fun () ->
-  let reader = Framing.create_reader ic in
-  let poet = Poet.create ~trace_names:(Framing.reader_trace_names reader) () in
-  let engine = Engine.create ~config:sequential_config ~net ~poet () in
-  Fun.protect ~finally:(fun () -> Engine.shutdown engine) @@ fun () ->
-  let st =
-    Session.replay
-      ~config:{ Session.default with Session.pipeline = true; queue_capacity = 64 }
-      ~engine reader
-  in
-  checki "all frames" direct_events st.Source.admission.Admission.frames;
-  checki "nothing shed" 0 st.Source.queue_shed;
-  check "queue bounded" true (st.Source.queue_max_occupancy <= 64);
-  checks "digest equals direct" direct_digest (Runner.reports_digest engine)
-
-(* The deprecated Source.replay shim and the typed Session API agree:
-   same stream, same knobs, same digest and stats *)
-let session_shim_agreement () =
-  let mk () = Cases.make "atomicity" ~traces:4 ~seed:9 ~max_events:2000 in
-  let w = mk () in
-  let net = Compile.compile (Parser.parse w.Workload.pattern) in
-  let run_with replay =
-    with_temp @@ fun tmp ->
-    record_to ~path:tmp (mk ());
-    let ic = open_in_bin tmp in
+  let replay ~config path =
+    let ic = open_in_bin path in
     Fun.protect ~finally:(fun () -> close_in ic) @@ fun () ->
     let reader = Framing.create_reader ic in
     let poet = Poet.create ~trace_names:(Framing.reader_trace_names reader) () in
     let engine = Engine.create ~config:sequential_config ~net ~poet () in
     Fun.protect ~finally:(fun () -> Engine.shutdown engine) @@ fun () ->
-    let st : Source.stats = replay ~engine reader in
-    (Runner.reports_digest engine, st.Source.admission.Admission.frames)
+    let st = Session.replay ~config ~engine reader in
+    checki "nothing shed" 0 st.Source.queue_shed;
+    check "queue bounded" true (st.Source.queue_max_occupancy <= config.Session.queue_capacity);
+    (Runner.reports_digest engine, st)
   in
-  let new_digest, new_frames = run_with (fun ~engine r -> Session.replay ~engine r) in
-  let old_digest, old_frames =
-    run_with (fun ~engine r -> (Source.replay ~engine r [@warning "-3"]))
+  with_temp @@ fun tmp ->
+  record_to ~path:tmp (mk ());
+  let digest, st =
+    replay ~config:{ Session.default with Session.pipeline = true; queue_capacity = 64 } tmp
   in
-  checks "shim digest agrees" new_digest old_digest;
-  checki "shim frame count agrees" new_frames old_frames
+  checki "all frames" direct_events st.Source.admission.Admission.frames;
+  checks "digest equals direct" direct_digest digest;
+  write_damaged_log ~path:tmp (mk ());
+  let cell ~block_size ~pipeline =
+    let digest, st =
+      replay
+        ~config:
+          {
+            Session.default with
+            Session.gap_policy = Admission.Skip 64;
+            pipeline;
+            block_size;
+            queue_capacity = 64;
+          }
+        tmp
+    in
+    (digest, { st with Source.queue_max_occupancy = 0 })
+  in
+  let base_digest, base = cell ~block_size:1 ~pipeline:false in
+  checki "one crc error" 1 base.Source.crc_errors;
+  checki "no bad frames" 0 base.Source.bad_frames;
+  check "tail truncated" true base.Source.truncated;
+  check "duplicates dropped" true (base.Source.admission.Admission.duplicates > 0);
+  check "frames reordered" true (base.Source.admission.Admission.reordered > 0);
+  List.iter
+    (fun (block_size, pipeline) ->
+      let name = Printf.sprintf "block %d pipeline %b" block_size pipeline in
+      let digest, st = cell ~block_size ~pipeline in
+      checks (name ^ ": digest") base_digest digest;
+      check (name ^ ": stats") true (st = base))
+    [ (1, true); (7, false); (7, true); (64, false); (64, true) ]
 
 (* Session's faults field reproduces the manual degrade-then-replay
    pipeline bit for bit *)
@@ -742,7 +779,6 @@ let () =
         ] );
       ( "session",
         [
-          Alcotest.test_case "shim agrees with typed config" `Quick session_shim_agreement;
           Alcotest.test_case "faults equal manual degrade" `Quick session_faults_equal_manual;
         ] );
     ]

@@ -526,26 +526,11 @@ let pinned_matches_oracle =
 (* Parallel search (future work #3)                                    *)
 (* ------------------------------------------------------------------ *)
 
-let pool_basics () =
-  let pool = Ocep.Pool.create ~workers:3 in
-  let results = Ocep.Pool.run_all pool (Array.init 20 (fun i () -> i * i)) in
-  check "ordered results" true (results = Array.init 20 (fun i -> i * i));
-  (* exceptions propagate *)
-  (try
-     ignore (Ocep.Pool.run_all pool [| (fun () -> failwith "boom") |]);
-     Alcotest.fail "expected exception"
-   with Failure _ -> ());
-  (* pool still usable after a failing batch *)
-  let r2 = Ocep.Pool.run_all pool [| (fun () -> 7) |] in
-  check "usable after failure" true (r2 = [| 7 |]);
-  Ocep.Pool.shutdown pool;
-  Ocep.Pool.shutdown pool (* idempotent *)
-
 let par_agrees_with_sequential =
   QCheck.Test.make ~name:"parallel search = sequential search (existence)" ~count:40
     QCheck.small_int (fun seed ->
-      let pool = Ocep.Pool.create ~workers:4 in
-      let finally () = Ocep.Pool.shutdown pool in
+      let pool = Ocep.Search_pool.create ~workers:4 () in
+      let finally () = Ocep.Search_pool.shutdown pool in
       Fun.protect ~finally (fun () ->
           let prng = Prng.create (seed + 31337) in
           let n_traces = 2 + Prng.int prng 2 in
@@ -622,7 +607,6 @@ let () =
         ] );
       ( "parallel",
         [
-          Alcotest.test_case "pool basics" `Quick pool_basics;
           QCheck_alcotest.to_alcotest par_agrees_with_sequential;
         ] );
     ]

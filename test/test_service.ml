@@ -15,6 +15,7 @@ module Framing = Ocep_ingest.Framing
 module Admission = Ocep_ingest.Admission
 module Bqueue = Ocep_ingest.Bqueue
 module Session = Ocep_ingest.Session
+module Crc32 = Ocep_ingest.Crc32
 module Server = Ocep_service.Server
 module Client = Ocep_service.Client
 module Control = Ocep_service.Control
@@ -358,6 +359,53 @@ let wire_errors () =
   in
   wait_poisoned 100
 
+(* A CRC-valid, in-order second receive of a message passes admission
+   (its send was seen) and makes POET's ingest raise: the one pending
+   send was consumed by the first receive. It must fail only its own
+   tenant: on a one-shard server the bystander pinned to the same domain
+   still matches exactly like its dedicated engine, and both tenants'
+   STATS still answer. *)
+let orphan_receive_fails_one_tenant () =
+  let w = Cases.make "races" ~traces:4 ~seed:51 ~max_events:1200 in
+  with_temp @@ fun path ->
+  record_to ~path w;
+  let traces, frames = read_stream path in
+  let net = Compile.compile (Parser.parse w.Workload.pattern) in
+  let oracle = oracle_digest ~patterns:[ net ] path in
+  let config = { Server.default_config with Server.shards = 1 } in
+  with_server ~config @@ fun srv ->
+  let crafted = connect srv ~tenant:"crafted" ~traces:[| "P0"; "P1" |] () in
+  Fun.protect ~finally:(fun () -> Client.close crafted) @@ fun () ->
+  List.iter (Client.send crafted)
+    [
+      { Wire.id = 0; trace = 0; seq = 1; etype = "m"; text = ""; kind = Event.Send { msg = 7 } };
+      { Wire.id = 1; trace = 1; seq = 1; etype = "m"; text = ""; kind = Event.Receive { msg = 7 } };
+      { Wire.id = 2; trace = 1; seq = 2; etype = "m"; text = ""; kind = Event.Receive { msg = 7 } };
+    ];
+  Client.flush crafted;
+  let rec wait_failed retries =
+    match Client.stats crafted with
+    | Result.Error (Ocep_error.Bad_request _) -> ()
+    | Result.Ok _ when retries > 0 ->
+      Thread.delay 0.02;
+      wait_failed (retries - 1)
+    | Result.Ok _ -> Alcotest.fail "orphan receive went unnoticed"
+    | Result.Error e -> Alcotest.failf "orphan receive: %s" (Ocep_error.to_string e)
+  in
+  wait_failed 100;
+  let c = connect srv ~tenant:"bystander" ~traces () in
+  Fun.protect ~finally:(fun () -> Client.close c) @@ fun () ->
+  ignore (ok_or_fail "attach" (Client.attach c ~name:"p" ~source:w.Workload.pattern));
+  stream_frames c frames;
+  let st = ok_or_fail "drain" (Client.drain c) in
+  checks "bystander digest matches its dedicated engine" oracle st.Control.digest;
+  checki "bystander admitted everything" (List.length frames) st.Control.admitted;
+  let st2 = ok_or_fail "bystander stats" (Client.stats c) in
+  checks "bystander stats answer" st.Control.digest st2.Control.digest;
+  expect_err "crafted tenant stays failed"
+    (function Ocep_error.Bad_request _ -> true | _ -> false)
+    (Client.stats crafted)
+
 let drained_after_drain () =
   let traces = [| "P0" |] in
   with_server @@ fun srv ->
@@ -476,6 +524,28 @@ let metrics_endpoint () =
   Fun.protect ~finally:(fun () -> Client.close c) @@ fun () ->
   ignore (ok_or_fail "attach" (Client.attach c ~name:"p" ~source:w.Workload.pattern));
   stream_frames c frames;
+  (* one damaged frame: a well-delimited payload under a wrong CRC *)
+  let payload =
+    let b = Buffer.create 32 in
+    Wire.encode b
+      {
+        Wire.id = List.length frames;
+        trace = 0;
+        seq = 1;
+        etype = "x";
+        text = "";
+        kind = Event.Internal;
+      };
+    Buffer.contents b
+  in
+  let le32 v =
+    String.init 4 (fun i ->
+        Char.chr (Int32.to_int (Int32.shift_right_logical v (8 * i)) land 0xff))
+  in
+  Client.send_encoded c
+    (le32 (Int32.of_int (String.length payload))
+    ^ le32 (Int32.logxor (Crc32.string payload) 1l)
+    ^ payload);
   let st = ok_or_fail "drain" (Client.drain c) in
   checki "all admitted" (List.length frames) st.Control.admitted;
   (* the publisher refreshes a few times a second; wait for the tenant's
@@ -487,6 +557,7 @@ let metrics_endpoint () =
       && contains ~needle:(Printf.sprintf "ocep_tenant_events_total{tenant=\"mt\"} %d"
                              st.Control.admitted)
            body
+      && contains ~needle:"ocep_tenant_frame_errors_total{tenant=\"mt\"} 1" body
     then body
     else if retries = 0 then
       Alcotest.failf "tenant series missing after drain (status %d):\n%s" status body
@@ -517,6 +588,8 @@ let () =
         [
           Alcotest.test_case "typed errors over the wire" `Quick wire_errors;
           Alcotest.test_case "drain freezes the stream" `Quick drained_after_drain;
+          Alcotest.test_case "orphan receive fails one tenant" `Quick
+            orphan_receive_fails_one_tenant;
         ] );
       ( "telemetry",
         [ Alcotest.test_case "per-tenant metrics endpoint" `Quick metrics_endpoint ] );
